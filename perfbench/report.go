@@ -318,10 +318,10 @@ func (res *result) perLayer(r *runner, plain, traced *passResult) {
 	res.pcts("cache.patch_ms", &patch, 0.99)
 	res.set("cache.evictions_per_kop", 1000*ratio(float64(traced.after.cache.Evicted-traced.before.cache.Evicted), ops), "count")
 
-	res.pcts("router.closure_ms", &t.closure[belowCache], 0.99)
-	res.pcts("router.expand_ms", &t.expand[belowCache], 0.99)
-	res.pcts("router.ingest_ms", &t.ingest[belowCache], 0.99)
-	cp, _ := t.checkpoint[belowCache].Percentile(0.5)
+	res.pcts("router.closure_ms", &t.routerClosure, 0.99)
+	res.pcts("router.expand_ms", &t.routerExpand, 0.99)
+	res.pcts("router.ingest_ms", &t.routerIngest, 0.99)
+	cp, _ := t.routerCheckpoint.Percentile(0.5)
 	res.set("router.checkpoint_ms.p50", cp, "ms")
 	res.set("router.rounds_per_closure", ratio(t.rounds, t.traced), "count")
 	res.set("router.crossings_per_closure", ratio(t.crossings, t.traced), "count")

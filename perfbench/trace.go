@@ -85,11 +85,11 @@ type tracer struct {
 	scans    []*scanGroup // every scan group, for load counts
 	nShards  int
 
-	// Per-boundary call latencies (ms), whether or not a request claimed
-	// the call: standing maintenance and auto-checkpoints call through the
-	// boundaries too.
-	closure, expand, ingest, checkpoint [numBoundaries]Dist
-	rounds, crossings, traced           float64
+	// Latencies (ms) of every call into the router, whether or not a
+	// request claimed it: standing maintenance and auto-checkpoints call
+	// through that boundary too.
+	routerClosure, routerExpand, routerIngest, routerCheckpoint Dist
+	rounds, crossings, traced                                   float64
 }
 
 func newTracer(nShards int) *tracer { return &tracer{nShards: nShards} }
@@ -112,10 +112,14 @@ func (t *tracer) end(sp *span) {
 	t.mu.Unlock()
 }
 
-// claim charges d at boundary b to the first in-flight span match accepts.
-func (t *tracer) claim(b boundary, d time.Duration, match func(*span) bool) {
+// claim charges d at boundary b to the first in-flight span match
+// accepts, and records a call into the router in router.
+func (t *tracer) claim(b boundary, d time.Duration, router *Dist, match func(*span) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if b == belowCache {
+		router.AddDur(d)
+	}
 	for _, sp := range t.inflight {
 		if !sp.seen[b] && match(sp) {
 			sp.seen[b] = true
@@ -126,14 +130,11 @@ func (t *tracer) claim(b boundary, d time.Duration, match func(*span) bool) {
 }
 
 func (t *tracer) onClosure(b boundary, seed string, dir store.Direction, d time.Duration) {
-	t.claim(b, d, func(sp *span) bool { return sp.kind == OpLineage && sp.root == seed && sp.dir == dir })
-	t.mu.Lock()
-	t.closure[b].AddDur(d)
-	t.mu.Unlock()
+	t.claim(b, d, &t.routerClosure, func(sp *span) bool { return sp.kind == OpLineage && sp.root == seed && sp.dir == dir })
 }
 
 func (t *tracer) onExpand(b boundary, ids []string, dir store.Direction, d time.Duration) {
-	t.claim(b, d, func(sp *span) bool {
+	t.claim(b, d, &t.routerExpand, func(sp *span) bool {
 		if sp.kind != OpExpand || sp.dir != dir {
 			return false
 		}
@@ -144,21 +145,15 @@ func (t *tracer) onExpand(b boundary, ids []string, dir store.Direction, d time.
 		}
 		return true
 	})
-	t.mu.Lock()
-	t.expand[b].AddDur(d)
-	t.mu.Unlock()
 }
 
 func (t *tracer) onIngest(b boundary, runID string, d time.Duration) {
-	t.claim(b, d, func(sp *span) bool { return sp.kind == OpPublish && sp.runID == runID })
-	t.mu.Lock()
-	t.ingest[b].AddDur(d)
-	t.mu.Unlock()
+	t.claim(b, d, &t.routerIngest, func(sp *span) bool { return sp.kind == OpPublish && sp.runID == runID })
 }
 
-func (t *tracer) onCheckpoint(b boundary, d time.Duration) {
+func (t *tracer) onCheckpoint(d time.Duration) {
 	t.mu.Lock()
-	t.checkpoint[b].AddDur(d)
+	t.routerCheckpoint.AddDur(d)
 	t.mu.Unlock()
 }
 
@@ -215,9 +210,7 @@ func (t *tracer) reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done, t.open, t.scans = nil, nil, nil
-	for b := range numBoundaries {
-		t.closure[b], t.expand[b], t.ingest[b], t.checkpoint[b] = Dist{}, Dist{}, Dist{}, Dist{}
-	}
+	t.routerClosure, t.routerExpand, t.routerIngest, t.routerCheckpoint = Dist{}, Dist{}, Dist{}, Dist{}
 	t.rounds, t.crossings, t.traced = 0, 0, 0
 }
 
@@ -378,7 +371,7 @@ func (r *routerShim) Underlying() store.Store { return r.view }
 func (r *routerShim) Checkpoint() error {
 	start := time.Now()
 	err := r.s.(store.Checkpointer).Checkpoint()
-	r.tr.onCheckpoint(belowCache, time.Since(start))
+	r.tr.onCheckpoint(time.Since(start))
 	return err
 }
 
