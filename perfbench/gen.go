@@ -153,28 +153,6 @@ func (a Archive) Logs() []*provenance.RunLog {
 	return out
 }
 
-// entitiesOf lists every artifact and execution ID the logs hold, in
-// first-appearance order: the lineage-cold roots.
-func entitiesOf(logs []*provenance.RunLog) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(id string) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, l := range logs {
-		for _, x := range l.Artifacts {
-			add(x.ID)
-		}
-		for _, x := range l.Executions {
-			add(x.ID)
-		}
-	}
-	return out
-}
-
 // HotSet is the lineage-hot working set: the products of the newest
 // archived runs, newest first.
 func (a Archive) HotSet() []string {
@@ -241,19 +219,23 @@ type Workload struct {
 	Expand  float64 // share of expand operations
 	Query   float64 // share of PQL operations
 	Publish float64 // share of publishes; the rest of the mix
-	HotOnly bool    // lineage/expand roots Zipf over the hot set (else uniform over all entities)
 	LastOwn bool    // lineage root is the client's last published product
-	Subs    bool    // register the standing subscriptions before timing
-	// Parts is how many parts of the window the end-to-end figures are
-	// medians over; each part must hold 100 operations for its p90.
-	Parts int
+	// PublishRate, when set, is how many runs a second the clients publish
+	// between them on a fixed schedule, on top of the mix. A window then
+	// publishes the same runs however fast the reads go, so the store,
+	// heap and checkpoints grow alike on every host.
+	PublishRate int
+	Subs        bool // register the standing subscriptions before timing
+	// Prefill is how many runs the clients publish before timing. The
+	// cache checkpoints every checkpointEvery runs since the store was
+	// opened, so this fixes where in the window the checkpoints fall.
+	Prefill int
 }
 
 var workloads = []Workload{
-	{Name: "lineage-hot", Runs: 2000, Lineage: 0.70, Expand: 0.25, Publish: 0.05, HotOnly: true, Parts: 10},
-	{Name: "lineage-cold", Runs: 5000, Lineage: 1, Parts: 10},
-	{Name: "pql-scan", Runs: 128, Query: 1, Parts: 1},
-	{Name: "publish", Runs: 2000, Lineage: 0.10, Publish: 0.90, LastOwn: true, Subs: true, Parts: 5},
+	{Name: "lineage-hot", Runs: 2000, Lineage: 0.74, Expand: 0.26, PublishRate: 350},
+	{Name: "pql-scan", Runs: 128, Query: 1},
+	{Name: "publish", Runs: 2000, Lineage: 0.10, Publish: 0.90, LastOwn: true, Subs: true, Prefill: 200},
 }
 
 func workloadByName(name string) (Workload, bool) {
@@ -267,13 +249,12 @@ func workloadByName(name string) (Workload, bool) {
 
 // OpStream is one client's deterministic operation sequence.
 type OpStream struct {
-	w        Workload
-	a        Archive
-	r        *rand.Rand
-	zipf     *rand.Zipf
-	hot      []string
-	entities []string
-	query    int
+	w     Workload
+	a     Archive
+	r     *rand.Rand
+	zipf  *rand.Zipf
+	hot   []string
+	query int
 	// Publishing state: the client owns the projects p with
 	// p%clients == client, so its runs extend chains no other client
 	// writes and every run's predecessor is already acknowledged.
@@ -283,11 +264,11 @@ type OpStream struct {
 	lastOwn string
 }
 
-// NewOpStream returns client c's stream out of n clients. hot and entities
-// are the archive's hot set and entity list (shared, read-only).
-func NewOpStream(w Workload, a Archive, c, n int, hot, entities []string) *OpStream {
+// NewOpStream returns client c's stream out of n clients. hot is the
+// archive's hot set (shared, read-only).
+func NewOpStream(w Workload, a Archive, c, n int, hot []string) *OpStream {
 	r := rand.New(rand.NewSource(a.Seed*7919 + int64(c)*104_729 + 17))
-	s := &OpStream{w: w, a: a, r: r, hot: hot, entities: entities, nextGen: map[int]int{}}
+	s := &OpStream{w: w, a: a, r: r, hot: hot, nextGen: map[int]int{}}
 	if len(hot) > 1 {
 		s.zipf = rand.NewZipf(r, 1.1, 1, uint64(len(hot)-1))
 	}
@@ -311,12 +292,7 @@ func (s *OpStream) dir() store.Direction {
 	return store.Down
 }
 
-func (s *OpStream) root() string {
-	if s.w.HotOnly {
-		return s.hot[s.zipf.Uint64()]
-	}
-	return s.entities[s.r.Intn(len(s.entities))]
-}
+func (s *OpStream) root() string { return s.hot[s.zipf.Uint64()] }
 
 // Next draws the client's next operation.
 func (s *OpStream) Next() Op {
@@ -327,7 +303,7 @@ func (s *OpStream) Next() Op {
 			return Op{Kind: OpLineage, IDs: []string{s.lastOwn}, Dir: store.Up}
 		}
 		if s.w.LastOwn {
-			return s.publish()
+			return s.Publish()
 		}
 		return Op{Kind: OpLineage, IDs: []string{s.root()}, Dir: s.dir()}
 	case u < s.w.Lineage+s.w.Expand:
@@ -347,11 +323,12 @@ func (s *OpStream) Next() Op {
 		s.query = (s.query + 1) % len(pqlQueries)
 		return Op{Kind: OpQuery, Query: q}
 	default:
-		return s.publish()
+		return s.Publish()
 	}
 }
 
-func (s *OpStream) publish() Op {
+// Publish returns the client's next run to publish.
+func (s *OpStream) Publish() Op {
 	p := s.owned[s.pubs%len(s.owned)]
 	s.pubs++
 	g := s.nextGen[p]

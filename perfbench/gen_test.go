@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/provenance"
 	"repro/internal/store"
@@ -38,9 +39,8 @@ func TestSameSeedGivesIdenticalOperations(t *testing.T) {
 	for _, w := range workloads {
 		a := Archive{Seed: 3, Runs: 256}
 		hot := a.HotSet()
-		ents := []string{"x", "y", "z"}
-		s1 := NewOpStream(w, a, 1, 2, hot, ents)
-		s2 := NewOpStream(w, a, 1, 2, hot, ents)
+		s1 := NewOpStream(w, a, 1, 2, hot)
+		s2 := NewOpStream(w, a, 1, 2, hot)
 		for i := 0; i < 300; i++ {
 			x, y := s1.Next(), s2.Next()
 			bx, _ := json.Marshal(x)
@@ -68,7 +68,7 @@ func TestLogsValidate(t *testing.T) {
 	}
 	w, _ := workloadByName("publish")
 	for c := 0; c < 2; c++ {
-		s := NewOpStream(w, a, c, 2, a.HotSet(), nil)
+		s := NewOpStream(w, a, c, 2, a.HotSet())
 		for i := 0; i < 400; i++ {
 			op := s.Next()
 			if op.Kind != OpPublish {
@@ -115,11 +115,6 @@ func TestWorkloadSizes(t *testing.T) {
 	if n := 2 * len(a.HotSet()); n >= cacheClosureCap {
 		t.Fatalf("lineage-hot touches %d closures, not under the %d cap", n, cacheClosureCap)
 	}
-	cold, _ := workloadByName("lineage-cold")
-	ents := entitiesOf(Archive{Seed: 5, Runs: cold.Runs}.Logs())
-	if n := 2 * len(ents); n <= 10*cacheClosureCap {
-		t.Fatalf("lineage-cold roots span %d closures, not more than 10x the %d cap", n, cacheClosureCap)
-	}
 
 	// Closures stay at tens to hundreds of nodes.
 	m, err := memStore(a.Logs())
@@ -150,8 +145,26 @@ func TestWorkloadMixesSumToOne(t *testing.T) {
 		if s := w.Lineage + w.Expand + w.Query + w.Publish; s < 0.999 || s > 1.001 {
 			t.Errorf("%s: mix sums to %v", w.Name, s)
 		}
-		if w.Parts < 1 {
-			t.Errorf("%s: %d parts", w.Name, w.Parts)
+	}
+}
+
+// TestPacedPublishes checks that a paced workload publishes on its
+// schedule, whatever the rate of the reads between publishes.
+func TestPacedPublishes(t *testing.T) {
+	w, _ := workloadByName("lineage-hot")
+	a := Archive{Seed: 4, Runs: 256}
+	for _, step := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
+		c := newClient(0, NewOpStream(w, a, 0, numClients(), a.HotSet()), "http://127.0.0.1:1", newTransport(1))
+		start := time.Unix(0, 0)
+		c.pubNext = start
+		pubs := 0
+		for now := start; now.Before(start.Add(time.Second)); now = now.Add(step) {
+			if c.next(now).Kind == OpPublish {
+				pubs++
+			}
+		}
+		if want := w.PublishRate / numClients(); pubs != want {
+			t.Errorf("reads every %v: %d publishes in a second, want %d", step, pubs, want)
 		}
 	}
 }

@@ -20,9 +20,10 @@ import (
 )
 
 // The load generator is a closed loop: each client issues its next
-// operation only after the previous one completed. There are as many
-// clients as the host has CPUs, at most 2, and the HTTP transport is
-// capped at one connection per client.
+// operation only after the previous one completed (a paced publish, when
+// due, is that next operation). There are as many clients as the host has
+// CPUs, at most 2, and the HTTP transport is capped at one connection per
+// client.
 const maxClients = 2
 
 func numClients() int { return min(maxClients, runtime.NumCPU()) }
@@ -99,8 +100,10 @@ type answer struct {
 	digest uint64              // PQL
 }
 
-// Answers kept per client: every PQL answer (as a digest), every
-// keepEvery-th closure or expand answer up to keepMax.
+// Answers kept per client: every PQL answer (as a digest), and closure
+// and expand answers spread over the whole window: every stride-th read,
+// where the stride starts at keepEvery and doubles, dropping every other
+// kept read answer, whenever keepMax of them are held.
 const (
 	keepEvery = 8
 	keepMax   = 400
@@ -108,22 +111,42 @@ const (
 
 // client is one load goroutine's state.
 type client struct {
-	stream  *OpStream
-	api     *api.Client
-	ids     *idTransport
-	samples []sample
-	answers []answer
-	acked   []*provenance.RunLog
-	errs    []string
-	reads   int
+	stream   *OpStream
+	api      *api.Client
+	ids      *idTransport
+	samples  []sample
+	answers  []answer
+	acked    []*provenance.RunLog
+	errs     []string
+	pubEvery time.Duration // publish schedule (Workload.PublishRate)
+	pubNext  time.Time     // next scheduled publish
+	reads    int           // reads made
+	kept     int           // read answers held
+	stride   int           // every stride-th read is kept
 }
 
 func newClient(id int, stream *OpStream, base string, tr *transport) *client {
 	ids := &idTransport{rt: tr, prefix: fmt.Sprintf("c%d", id)}
-	return &client{
-		stream: stream, ids: ids,
+	c := &client{
+		stream: stream, ids: ids, stride: keepEvery,
 		api: api.NewClient(base, &http.Client{Transport: ids, Timeout: 60 * time.Second}),
 	}
+	if rate := stream.w.PublishRate; rate > 0 {
+		c.pubEvery = time.Duration(numClients()) * time.Second / time.Duration(rate)
+	}
+	return c
+}
+
+// next returns the client's next operation: a publish when one is due on
+// the client's schedule (those that fell behind are made up back to back,
+// so a window publishes a fixed number of runs), else the next of its
+// stream.
+func (c *client) next(now time.Time) Op {
+	if c.pubEvery > 0 && !now.Before(c.pubNext) {
+		c.pubNext = c.pubNext.Add(c.pubEvery)
+		return c.stream.Publish()
+	}
+	return c.stream.Next()
 }
 
 // do executes one operation and keeps what verification needs.
@@ -170,7 +193,7 @@ func (c *client) do(s *stack, op Op) sample {
 		smp.reqID = c.ids.last
 	default:
 		c.reads++
-		keep = c.reads%keepEvery == 0 && len(c.answers) < keepMax
+		keep = c.reads%c.stride == 0
 		smp.reqID = c.ids.last
 	}
 	if err != nil {
@@ -181,8 +204,34 @@ func (c *client) do(s *stack, op Op) sample {
 	} else if keep {
 		ans.op = op
 		c.answers = append(c.answers, ans)
+		if op.Kind != OpQuery {
+			if c.kept++; c.kept == keepMax {
+				c.thin()
+			}
+		}
 	}
 	return smp
+}
+
+// thin drops every other kept read answer and doubles the stride. The
+// reads kept were those at multiples of the stride; those left are at
+// multiples of the new stride, so the sample stays even over every read
+// made so far.
+func (c *client) thin() {
+	kept := c.answers[:0]
+	n := 0
+	for _, a := range c.answers {
+		if a.op.Kind != OpQuery {
+			if n++; n%2 == 1 {
+				continue
+			}
+		}
+		kept = append(kept, a)
+	}
+	clear(c.answers[len(kept):])
+	c.answers = kept
+	c.kept /= 2
+	c.stride *= 2
 }
 
 // publish is the write path: collab.Repository.PublishRun in-process
@@ -219,18 +268,12 @@ func digest(r *pql.Result) uint64 {
 	return h.Sum64()
 }
 
-// heapSample is one reading of the live heap.
-type heapSample struct {
-	at   time.Time
-	live uint64
-}
-
 // window is one measured phase's outcome.
 type window struct {
 	clients  []*client
 	start    time.Time
 	elapsed  time.Duration
-	heap     []heapSample
+	heapPeak uint64 // peak live heap, bytes
 	allocs   uint64 // bytes allocated
 	gcCPU    float64
 	totalCPU float64
@@ -272,6 +315,35 @@ func readRuntime() []metrics.Sample {
 	return s
 }
 
+// prefill has the clients publish runs runs between them before timing.
+// A client stops at its first failed operation; the failures are
+// returned.
+func prefill(s *stack, clients []*client, runs int) []string {
+	var wg sync.WaitGroup
+	failed := make([]string, len(clients))
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for len(c.acked) < runs/len(clients) {
+				op := c.stream.Next()
+				if c.do(s, op).err {
+					failed[i] = fmt.Sprintf("%s failed before the window", op.Kind)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var out []string
+	for _, f := range failed {
+		if f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // runWindow drives the clients against s for d and returns what they did.
 func runWindow(s *stack, clients []*client, d time.Duration) *window {
 	w := &window{clients: clients}
@@ -285,7 +357,7 @@ func runWindow(s *stack, clients []*client, d time.Duration) *window {
 		probe := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 		for {
 			metrics.Read(probe)
-			w.heap = append(w.heap, heapSample{time.Now(), probe[0].Value.Uint64()})
+			w.heapPeak = max(w.heapPeak, probe[0].Value.Uint64())
 			select {
 			case <-stop:
 				return
@@ -297,12 +369,14 @@ func runWindow(s *stack, clients []*client, d time.Duration) *window {
 	w.start = start
 	deadline := start.Add(d)
 	var wg sync.WaitGroup
-	for _, c := range clients {
+	for i, c := range clients {
+		// Stagger the clients' publish schedules evenly.
+		c.pubNext = start.Add(c.pubEvery * time.Duration(i) / time.Duration(len(clients)))
 		wg.Add(1)
 		go func(c *client) {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
-				c.samples = append(c.samples, c.do(s, c.stream.Next()))
+			for now := time.Now(); now.Before(deadline); now = time.Now() {
+				c.samples = append(c.samples, c.do(s, c.next(now)))
 			}
 		}(c)
 	}

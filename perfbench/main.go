@@ -49,16 +49,16 @@ const (
 
 func main() {
 	var (
-		workload = flag.String("workload", "", "workload name (lineage-hot, lineage-cold, pql-scan, publish)")
+		workload = flag.String("workload", "", "workload name (lineage-hot, pql-scan, publish)")
 		seed     = flag.Int64("seed", 1, "workload seed: the same seed gives the same inputs")
-		seconds  = flag.Int("seconds", 10, "length of each measured window (BENCHMARK.json: 10)")
+		seconds  = flag.Int("seconds", 12, "length of each measured window (BENCHMARK.json: 12)")
 		trace    = flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 		work     = flag.String("work", filepath.Join(".bench_build", "work"), "directory for generated stores (emptied afterwards)")
 	)
 	flag.Parse()
 	w, ok := workloadByName(*workload)
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintf(os.Stderr, "perfbench: need --workload (one of lineage-hot, lineage-cold, pql-scan, publish), --seconds ≥ 1 and --trace 0|1\n")
+		fmt.Fprintf(os.Stderr, "perfbench: need --workload (one of lineage-hot, pql-scan, publish), --seconds ≥ 1 and --trace 0|1\n")
 		os.Exit(2)
 	}
 	if err := checkHygiene(); err != nil {
@@ -100,7 +100,6 @@ type runner struct {
 	logs      []*provenance.RunLog
 	userBytes int64
 	hot       []string
-	entities  []string
 	copies    int
 }
 
@@ -155,7 +154,6 @@ func (r *runner) prepare() error {
 		}
 		r.userBytes += int64(len(b))
 	}
-	r.entities = entitiesOf(r.logs)
 	r.hot = a.HotSet()
 	st, closer, err := core.OpenPersistentStore(stackOptions(r.template(), store.DurabilityNone))
 	if err != nil {
@@ -189,25 +187,12 @@ type closureKey struct {
 
 // warmSet is what a long-running server would hold in its closure cache
 // for this workload: the hot set in both directions for the curation and
-// ingest workloads, and a cache-full of uniformly drawn closures for the
-// archive audit. PQL bypasses the cache.
+// ingest workloads. PQL bypasses the cache.
 func (r *runner) warmSet() []closureKey {
 	var out []closureKey
-	switch {
-	case r.w.HotOnly || r.w.LastOwn:
+	if r.w.Lineage > 0 {
 		for _, id := range r.hot {
 			out = append(out, closureKey{id, store.Up}, closureKey{id, store.Down})
-		}
-	case r.w.Lineage > 0:
-		s := NewOpStream(r.w, Archive{Seed: r.seed ^ 0x5eed, Runs: r.w.Runs}, 0, 1, r.hot, r.entities)
-		seen := map[closureKey]bool{}
-		for len(out) < cacheClosureCap {
-			op := s.Next()
-			k := closureKey{op.IDs[0], op.Dir}
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
 		}
 	}
 	return out
@@ -376,8 +361,9 @@ func (r *runner) pass(tr *tracer, repeats int) (*passResult, error) {
 	clients := make([]*client, n)
 	a := Archive{Seed: r.seed, Runs: r.w.Runs}
 	for i := range clients {
-		clients[i] = newClient(i, NewOpStream(r.w, a, i, n, r.hot, r.entities), s.base, tp)
+		clients[i] = newClient(i, NewOpStream(r.w, a, i, n, r.hot), s.base, tp)
 	}
+	p.bad = append(p.bad, prefill(s, clients, r.w.Prefill)...)
 	if tr != nil {
 		tr.reset()
 	}
@@ -404,11 +390,8 @@ func (r *runner) pass(tr *tracer, repeats int) (*passResult, error) {
 	if p.storeBytes, err = dirBytes(s.dir); err != nil {
 		return nil, err
 	}
-	for i, pt := range split(p.win, r.w.Parts) {
-		if !pt.lat.Supports(tailQuantile) {
-			p.bad = append(p.bad, fmt.Sprintf("only %d operations in part %d of %d of the window: too few for a p%.0f", pt.lat.Len(), i+1, r.w.Parts, tailQuantile*100))
-			break
-		}
+	if all := latencies(p.win); !all.Supports(tailQuantile) {
+		p.bad = append(p.bad, fmt.Sprintf("only %d operations in the window: too few for a p%.0f", all.Len(), tailQuantile*100))
 	}
 
 	// Checks, outside the timed region.

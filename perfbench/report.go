@@ -16,7 +16,7 @@ type counters struct {
 	cache                           closurecache.Metrics
 	walAppends, walFsyncs, walBytes uint64
 	execRows, standingDeltas        uint64
-	rounds                          obs.HistSnapshot
+	rounds, crossings               obs.HistSnapshot
 	storeIngest, walCommit          obs.HistSnapshot
 }
 
@@ -38,6 +38,7 @@ func readCounters(c *closurecache.Cache) counters {
 		execRows:       counter("prov_exec_rows_total"),
 		standingDeltas: counter("prov_standing_deltas_total"),
 		rounds:         histogram("prov_router_closure_rounds"),
+		crossings:      histogram("prov_router_closure_crossings"),
 		storeIngest:    histogram("prov_store_ingest_seconds"),
 		walCommit:      histogram("prov_wal_commit_seconds"),
 	}
@@ -61,12 +62,14 @@ func programCounts(p *passResult) map[string]float64 {
 	cm := p.after.cache
 	cb := p.before.cache
 	rounds := p.after.rounds.Sub(p.before.rounds)
+	crossings := p.after.crossings.Sub(p.before.crossings)
 	return map[string]float64{
-		"cache closure hit ratio":   ratio(float64(cm.ClosureHits-cb.ClosureHits), float64(cm.ClosureHits-cb.ClosureHits+cm.ClosureMisses-cb.ClosureMisses)),
-		"cache expand hit ratio":    ratio(float64(cm.ExpandHits-cb.ExpandHits), float64(cm.ExpandHits-cb.ExpandHits+cm.ExpandMisses-cb.ExpandMisses)),
-		"WAL appends per publish":   ratio(float64(p.after.walAppends-p.before.walAppends), n[OpPublish]),
-		"exec rows per query":       ratio(float64(p.after.execRows-p.before.execRows), n[OpQuery]),
-		"router rounds per closure": ratio(float64(rounds.Sum), float64(rounds.Count)),
+		"cache closure hit ratio":      ratio(float64(cm.ClosureHits-cb.ClosureHits), float64(cm.ClosureHits-cb.ClosureHits+cm.ClosureMisses-cb.ClosureMisses)),
+		"cache expand hit ratio":       ratio(float64(cm.ExpandHits-cb.ExpandHits), float64(cm.ExpandHits-cb.ExpandHits+cm.ExpandMisses-cb.ExpandMisses)),
+		"WAL appends per publish":      ratio(float64(p.after.walAppends-p.before.walAppends), n[OpPublish]),
+		"exec rows per query":          ratio(float64(p.after.execRows-p.before.execRows), n[OpQuery]),
+		"router rounds per closure":    ratio(float64(rounds.Sum), float64(rounds.Count)),
+		"router crossings per closure": ratio(float64(crossings.Sum), float64(crossings.Count)),
 	}
 }
 
@@ -98,62 +101,24 @@ func durations(w *window) (per [numOpKinds]Dist) {
 	return per
 }
 
-// tailQuantile is the percentile tail_ms reports. p99 would be the highest
-// most workloads support, but a p99 over one part of a window on a shared
-// host measures the host's stalls more than the program; the per-type p99s
-// are printed and traced.
+// tailQuantile is the percentile tail_ms reports: the highest every
+// workload supports, as pql-scan completes a few hundred queries a window.
+// The per-type p99s are printed and traced.
 const tailQuantile = 0.90
 
 // opTails is the tail percentile reported per operation type: PQL runs
 // complete too few queries for a p99.
 var opTails = [numOpKinds]float64{OpLineage: 0.99, OpExpand: 0.99, OpQuery: 0.90, OpPublish: 0.99}
 
-// The end-to-end figures are taken over equal parts of the window:
-// ops_per_s, p50_ms and tail_ms are the medians of the parts' figures, so a
-// stall imposed from outside the benchmark (the host taking the CPUs away
-// for a second) moves one part, not the result. A workload splits its
-// window into as many parts as keep every part's sample large enough for
-// its tail percentile (Workload.Parts; pql-scan has one). heap_peak_mb is
-// the median of heapParts parts' peaks, so one collection caught at its
-// peak does not set it.
-const heapParts = 6
-
-// part is one part of a window.
-type part struct {
-	rate float64 // operations completed per second
-	lat  Dist    // latencies (ms)
-}
-
-// split divides a window's operations into n equal parts by completion
-// time.
-func split(w *window, n int) []part {
-	parts := make([]part, n)
-	width := w.elapsed / time.Duration(n)
-	for _, c := range w.clients {
-		for _, s := range c.samples {
-			i := min(int(s.done.Sub(w.start)/width), n-1)
-			parts[i].rate++
-			if !s.err {
-				parts[i].lat.AddDur(s.dur)
-			}
-		}
+// latencies collects a window's client-side latencies (ms) over every
+// operation type.
+func latencies(w *window) *Dist {
+	per := durations(w)
+	var all Dist
+	for k := range per {
+		all.Merge(&per[k])
 	}
-	for i := range parts {
-		parts[i].rate /= width.Seconds()
-	}
-	return parts
-}
-
-// heapPeaks returns the peak live heap (MB) of each of heapParts parts of
-// the window.
-func heapPeaks(w *window) []float64 {
-	peaks := make([]float64, heapParts)
-	width := w.elapsed / heapParts
-	for _, h := range w.heap {
-		i := max(0, min(int(h.at.Sub(w.start)/width), heapParts-1))
-		peaks[i] = max(peaks[i], float64(h.live)/(1<<20))
-	}
-	return peaks
+	return &all
 }
 
 func seconds(ds []time.Duration) []float64 {
@@ -168,24 +133,18 @@ func seconds(ds []time.Duration) []float64 {
 // reports all six; the per-type figures the table prints are context.
 func (res *result) endToEnd(r *runner, p *passResult) {
 	per := durations(p.win)
-	var rates, p50s, tails []float64
-	for _, pt := range split(p.win, r.w.Parts) {
-		rates = append(rates, pt.rate)
-		v, _ := pt.lat.Percentile(0.50)
-		p50s = append(p50s, v)
-		v, _ = pt.lat.Percentile(tailQuantile)
-		tails = append(tails, v)
-	}
+	all := latencies(p.win)
+	p50, _ := all.Percentile(0.50)
+	tail, _ := all.Percentile(tailQuantile)
 	res.set("setup_s", median(seconds(p.setups)), "s")
-	res.set("ops_per_s", median(rates), "1/s")
-	res.set("p50_ms", median(p50s), "ms")
-	res.set("tail_ms", median(tails), "ms")
-	res.set("heap_peak_mb", median(heapPeaks(p.win)), "MB")
+	res.set("ops_per_s", float64(p.win.ops())/p.win.elapsed.Seconds(), "1/s")
+	res.set("p50_ms", p50, "ms")
+	res.set("tail_ms", tail, "ms")
+	res.set("heap_peak_mb", float64(p.win.heapPeak)/(1<<20), "MB")
 	res.set("store_bytes_per_user_byte", float64(p.storeBytes)/float64(r.userBytes+p.ackedBytes), "ratio")
 
 	res.notes = append(res.notes, fmt.Sprintf("# %s seed %d: %d operations in %.2fs, %d failed (failed_ratio %.4f); %d connections for %d clients",
 		r.w.Name, r.seed, p.win.ops(), p.win.elapsed.Seconds(), res.Failed, ratio(float64(res.Failed), float64(res.Attempted)), p.dials, numClients()))
-	res.notes = append(res.notes, fmt.Sprintf("#   ops_per_s by part of the window: %.1f", rates))
 	for k := OpKind(0); k < numOpKinds; k++ {
 		if per[k].Len() == 0 {
 			continue
@@ -200,6 +159,8 @@ func (res *result) endToEnd(r *runner, p *passResult) {
 	}
 	if n := per[OpPublish].Len(); n > 0 {
 		res.notes = append(res.notes, fmt.Sprintf("#   publish_runs_per_s %.2f", float64(n)/p.win.elapsed.Seconds()))
+		a, b := p.before.cache.Ingests, p.after.cache.Ingests
+		res.notes = append(res.notes, fmt.Sprintf("#   %d run-count checkpoints in the window (runs since open %d to %d)", b/checkpointEvery-a/checkpointEvery, a, b))
 	}
 }
 
@@ -318,13 +279,13 @@ func (res *result) perLayer(r *runner, plain, traced *passResult) {
 	res.pcts("cache.patch_ms", &patch, 0.99)
 	res.set("cache.evictions_per_kop", 1000*ratio(float64(traced.after.cache.Evicted-traced.before.cache.Evicted), ops), "count")
 
-	res.pcts("router.closure_ms", &t.routerClosure, 0.99)
+	res.pct("router.closure_ms.p50", &t.routerClosure, 0.50) // no workload supports a p99
 	res.pcts("router.expand_ms", &t.routerExpand, 0.99)
 	res.pcts("router.ingest_ms", &t.routerIngest, 0.99)
 	cp, _ := t.routerCheckpoint.Percentile(0.5)
 	res.set("router.checkpoint_ms.p50", cp, "ms")
-	res.set("router.rounds_per_closure", ratio(t.rounds, t.traced), "count")
-	res.set("router.crossings_per_closure", ratio(t.crossings, t.traced), "count")
+	res.set("router.rounds_per_closure", pc["router rounds per closure"], "count")
+	res.set("router.crossings_per_closure", pc["router crossings per closure"], "count")
 
 	res.pcts("store.runlog_load_ms", &loads, 0.99)
 	res.set("store.loads_per_query", ratio(fileLoads, n[OpQuery]), "count")
@@ -349,8 +310,8 @@ func (res *result) perLayer(r *runner, plain, traced *passResult) {
 	res.set("trace.unattributed_share", ratio(unattributed, serverTotal), "ratio")
 
 	a, b := programCounts(plain), programCounts(traced)
-	for _, name := range []string{"cache closure hit ratio", "cache expand hit ratio", "WAL appends per publish", "exec rows per query", "router rounds per closure"} {
-		res.notes = append(res.notes, fmt.Sprintf("# equivalence: %-26s untraced %.4f traced %.4f", name, a[name], b[name]))
+	for _, name := range []string{"cache closure hit ratio", "cache expand hit ratio", "WAL appends per publish", "exec rows per query", "router rounds per closure", "router crossings per closure"} {
+		res.notes = append(res.notes, fmt.Sprintf("# equivalence: %-29s untraced %.4f traced %.4f", name, a[name], b[name]))
 	}
 	res.notes = append(res.notes, fmt.Sprintf("# %s seed %d: untraced %d ops in %.2fs, traced %d ops in %.2fs",
 		r.w.Name, r.seed, plain.win.ops(), plain.win.elapsed.Seconds(), w.ops(), w.elapsed.Seconds()))

@@ -76,7 +76,7 @@ func openStack(dir string, tr *tracer) (*stack, error) {
 			return nil, err
 		}
 		t1 := time.Now()
-		below := newRouterShim(r.WithTrace(tr.onRounds), r, tr)
+		below := newRouterShim(r, tr)
 		s.cache = closurecache.New(below, closurecache.Options{SnapshotDir: dir, CheckpointEvery: checkpointEvery})
 		s.openS, s.cacheOpenS = t1.Sub(t0), time.Since(t1)
 		st, s.close = newLayerShim(s.cache, belowTap, tr), s.cache.Close

@@ -89,7 +89,6 @@ type tracer struct {
 	// request claimed it: standing maintenance and auto-checkpoints call
 	// through that boundary too.
 	routerClosure, routerExpand, routerIngest, routerCheckpoint Dist
-	rounds, crossings, traced                                   float64
 }
 
 func newTracer(nShards int) *tracer { return &tracer{nShards: nShards} }
@@ -157,15 +156,6 @@ func (t *tracer) onCheckpoint(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// onRounds receives the router's pushdown trace (Router.WithTrace).
-func (t *tracer) onRounds(tr shardedstore.ClosureTrace) {
-	t.mu.Lock()
-	t.rounds += float64(tr.Rounds)
-	t.crossings += float64(tr.Crossings)
-	t.traced++
-	t.mu.Unlock()
-}
-
 // shardHandle is called for shard i by one scan goroutine; it joins the
 // oldest open scan group lacking shard i, and a new group is charged to
 // the oldest in-flight PQL request without a scan.
@@ -211,7 +201,6 @@ func (t *tracer) reset() {
 	defer t.mu.Unlock()
 	t.done, t.open, t.scans = nil, nil, nil
 	t.routerClosure, t.routerExpand, t.routerIngest, t.routerCheckpoint = Dist{}, Dist{}, Dist{}, Dist{}
-	t.rounds, t.crossings, t.traced = 0, 0, 0
 }
 
 // --- HTTP boundary ------------------------------------------------------------
@@ -359,9 +348,9 @@ var (
 	_ store.Store        = (*routerShim)(nil)
 )
 
-func newRouterShim(traced store.Store, r *shardedstore.Router, tr *tracer) *routerShim {
+func newRouterShim(r *shardedstore.Router, tr *tracer) *routerShim {
 	return &routerShim{
-		timedStore: timedStore{s: traced, b: belowCache, tr: tr},
+		timedStore: timedStore{s: r, b: belowCache, tr: tr},
 		view:       &shardView{Router: r, tr: tr},
 	}
 }
