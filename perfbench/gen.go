@@ -29,7 +29,8 @@ const (
 	// cacheClosureCap is closurecache's default MaxClosures; the workload
 	// sizes below are stated relative to it.
 	cacheClosureCap = 4096
-	// hotProducts is the lineage-hot working set: the newest products.
+	// hotProducts is the publish workload's warm set: the newest
+	// products, whose closures the cache holds in both directions.
 	hotProducts = 512
 )
 
@@ -153,8 +154,8 @@ func (a Archive) Logs() []*provenance.RunLog {
 	return out
 }
 
-// HotSet is the lineage-hot working set: the products of the newest
-// archived runs, newest first.
+// HotSet is the warm set: the products of the newest archived runs,
+// newest first.
 func (a Archive) HotSet() []string {
 	n := min(hotProducts, a.Runs)
 	out := make([]string, 0, n)
@@ -181,22 +182,21 @@ func Workflow(p int) *workflow.Workflow {
 type OpKind int
 
 const (
-	OpLineage OpKind = iota // /v1/lineage or /v1/dependents
-	OpExpand                // /v1/expand
+	OpLineage OpKind = iota // /v1/lineage
 	OpQuery                 // /v1/query
 	OpPublish               // collab.Repository.PublishRun
 	numOpKinds
 )
 
-var opNames = [numOpKinds]string{"lineage", "expand", "pql", "publish"}
+var opNames = [numOpKinds]string{"lineage", "pql", "publish"}
 
 func (k OpKind) String() string { return opNames[k] }
 
 // Op is one operation a client issues.
 type Op struct {
 	Kind  OpKind
-	IDs   []string        // lineage: one root; expand: 1..8 ids
-	Dir   store.Direction // lineage/expand
+	IDs   []string        // lineage: one root
+	Dir   store.Direction // lineage
 	Query int             // index into pqlQueries
 	Log   *provenance.RunLog
 }
@@ -213,19 +213,19 @@ var pqlQueries = []string{
 
 // Workload describes one traffic mix.
 type Workload struct {
-	Name    string
-	Runs    int     // archive size
-	Lineage float64 // share of lineage/dependents operations
-	Expand  float64 // share of expand operations
+	Name string
+	Runs int // archive size
+	// Lineage is the share of lineage reads, each of the client's last
+	// published product.
+	Lineage float64
 	Query   float64 // share of PQL operations
 	Publish float64 // share of publishes; the rest of the mix
-	LastOwn bool    // lineage root is the client's last published product
-	// PublishRate, when set, is how many runs a second the clients publish
-	// between them on a fixed schedule, on top of the mix. A window then
-	// publishes the same runs however fast the reads go, so the store,
-	// heap and checkpoints grow alike on every host.
-	PublishRate int
-	Subs        bool // register the standing subscriptions before timing
+	Subs    bool    // register the standing subscriptions before timing
+	// Rate, when set, makes the load an open loop: the clients issue this
+	// many operations a second between them on a fixed schedule, so a
+	// window does the same work on a slow host as on a fast one. 0 is a
+	// closed loop.
+	Rate int
 	// Prefill is how many runs the clients publish before timing. The
 	// cache checkpoints every checkpointEvery runs since the store was
 	// opened, so this fixes where in the window the checkpoints fall.
@@ -233,9 +233,8 @@ type Workload struct {
 }
 
 var workloads = []Workload{
-	{Name: "lineage-hot", Runs: 2000, Lineage: 0.74, Expand: 0.26, PublishRate: 350},
 	{Name: "pql-scan", Runs: 128, Query: 1},
-	{Name: "publish", Runs: 2000, Lineage: 0.10, Publish: 0.90, LastOwn: true, Subs: true, Prefill: 200},
+	{Name: "publish", Runs: 2000, Lineage: 0.10, Publish: 0.90, Subs: true, Prefill: 200, Rate: 40},
 }
 
 func workloadByName(name string) (Workload, bool) {
@@ -252,8 +251,6 @@ type OpStream struct {
 	w     Workload
 	a     Archive
 	r     *rand.Rand
-	zipf  *rand.Zipf
-	hot   []string
 	query int
 	// Publishing state: the client owns the projects p with
 	// p%clients == client, so its runs extend chains no other client
@@ -264,14 +261,10 @@ type OpStream struct {
 	lastOwn string
 }
 
-// NewOpStream returns client c's stream out of n clients. hot is the
-// archive's hot set (shared, read-only).
-func NewOpStream(w Workload, a Archive, c, n int, hot []string) *OpStream {
+// NewOpStream returns client c's stream out of n clients.
+func NewOpStream(w Workload, a Archive, c, n int) *OpStream {
 	r := rand.New(rand.NewSource(a.Seed*7919 + int64(c)*104_729 + 17))
-	s := &OpStream{w: w, a: a, r: r, hot: hot, nextGen: map[int]int{}}
-	if len(hot) > 1 {
-		s.zipf = rand.NewZipf(r, 1.1, 1, uint64(len(hot)-1))
-	}
+	s := &OpStream{w: w, a: a, r: r, nextGen: map[int]int{}}
 	s.query = r.Intn(len(pqlQueries))
 	for p := c; p < numProjects; p += n {
 		s.owned = append(s.owned, p)
@@ -285,40 +278,16 @@ func NewOpStream(w Workload, a Archive, c, n int, hot []string) *OpStream {
 	return s
 }
 
-func (s *OpStream) dir() store.Direction {
-	if s.r.Intn(2) == 0 {
-		return store.Up
-	}
-	return store.Down
-}
-
-func (s *OpStream) root() string { return s.hot[s.zipf.Uint64()] }
-
 // Next draws the client's next operation.
 func (s *OpStream) Next() Op {
 	u := s.r.Float64()
 	switch {
 	case u < s.w.Lineage:
-		if s.w.LastOwn && s.lastOwn != "" {
-			return Op{Kind: OpLineage, IDs: []string{s.lastOwn}, Dir: store.Up}
+		if s.lastOwn == "" {
+			return s.Publish() // nothing of its own to read yet
 		}
-		if s.w.LastOwn {
-			return s.Publish()
-		}
-		return Op{Kind: OpLineage, IDs: []string{s.root()}, Dir: s.dir()}
-	case u < s.w.Lineage+s.w.Expand:
-		n := 1 + s.r.Intn(8)
-		ids := make([]string, 0, n)
-		seen := map[string]bool{}
-		for len(ids) < n {
-			id := s.root()
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-		return Op{Kind: OpExpand, IDs: ids, Dir: s.dir()}
-	case u < s.w.Lineage+s.w.Expand+s.w.Query:
+		return Op{Kind: OpLineage, IDs: []string{s.lastOwn}, Dir: store.Up}
+	case u < s.w.Lineage+s.w.Query:
 		q := s.query
 		s.query = (s.query + 1) % len(pqlQueries)
 		return Op{Kind: OpQuery, Query: q}

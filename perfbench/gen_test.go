@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/provenance"
 	"repro/internal/store"
@@ -38,9 +37,8 @@ func TestSameSeedGivesIdenticalLogs(t *testing.T) {
 func TestSameSeedGivesIdenticalOperations(t *testing.T) {
 	for _, w := range workloads {
 		a := Archive{Seed: 3, Runs: 256}
-		hot := a.HotSet()
-		s1 := NewOpStream(w, a, 1, 2, hot)
-		s2 := NewOpStream(w, a, 1, 2, hot)
+		s1 := NewOpStream(w, a, 1, 2)
+		s2 := NewOpStream(w, a, 1, 2)
 		for i := 0; i < 300; i++ {
 			x, y := s1.Next(), s2.Next()
 			bx, _ := json.Marshal(x)
@@ -68,7 +66,7 @@ func TestLogsValidate(t *testing.T) {
 	}
 	w, _ := workloadByName("publish")
 	for c := 0; c < 2; c++ {
-		s := NewOpStream(w, a, c, 2, a.HotSet())
+		s := NewOpStream(w, a, c, 2)
 		for i := 0; i < 400; i++ {
 			op := s.Next()
 			if op.Kind != OpPublish {
@@ -110,10 +108,10 @@ func rawIDOf(l *provenance.RunLog) string {
 // TestWorkloadSizes pins the sizes the workload design rests on, relative
 // to the closure cache's 4,096-closure cap.
 func TestWorkloadSizes(t *testing.T) {
-	hot, _ := workloadByName("lineage-hot")
-	a := Archive{Seed: 5, Runs: hot.Runs}
+	pub, _ := workloadByName("publish")
+	a := Archive{Seed: 5, Runs: pub.Runs}
 	if n := 2 * len(a.HotSet()); n >= cacheClosureCap {
-		t.Fatalf("lineage-hot touches %d closures, not under the %d cap", n, cacheClosureCap)
+		t.Fatalf("the warm set holds %d closures, not under the %d cap", n, cacheClosureCap)
 	}
 
 	// Closures stay at tens to hundreds of nodes.
@@ -142,29 +140,8 @@ func TestWorkloadSizes(t *testing.T) {
 
 func TestWorkloadMixesSumToOne(t *testing.T) {
 	for _, w := range workloads {
-		if s := w.Lineage + w.Expand + w.Query + w.Publish; s < 0.999 || s > 1.001 {
+		if s := w.Lineage + w.Query + w.Publish; s < 0.999 || s > 1.001 {
 			t.Errorf("%s: mix sums to %v", w.Name, s)
-		}
-	}
-}
-
-// TestPacedPublishes checks that a paced workload publishes on its
-// schedule, whatever the rate of the reads between publishes.
-func TestPacedPublishes(t *testing.T) {
-	w, _ := workloadByName("lineage-hot")
-	a := Archive{Seed: 4, Runs: 256}
-	for _, step := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
-		c := newClient(0, NewOpStream(w, a, 0, numClients(), a.HotSet()), "http://127.0.0.1:1", newTransport(1))
-		start := time.Unix(0, 0)
-		c.pubNext = start
-		pubs := 0
-		for now := start; now.Before(start.Add(time.Second)); now = now.Add(step) {
-			if c.next(now).Kind == OpPublish {
-				pubs++
-			}
-		}
-		if want := w.PublishRate / numClients(); pubs != want {
-			t.Errorf("reads every %v: %d publishes in a second, want %d", step, pubs, want)
 		}
 	}
 }

@@ -16,14 +16,15 @@ import (
 	"repro/internal/collab/api"
 	"repro/internal/provenance"
 	"repro/internal/query/pql"
-	"repro/internal/store"
 )
 
-// The load generator is a closed loop: each client issues its next
-// operation only after the previous one completed (a paced publish, when
-// due, is that next operation). There are as many clients as the host has
-// CPUs, at most 2, and the HTTP transport is capped at one connection per
-// client.
+// Each client issues its next operation only after the previous one
+// completed. In a closed loop it issues it at once; in an open loop
+// (Workload.Rate) at the time the client's schedule makes it due, or at
+// once if it is already late, and the operation is timed from when it was
+// due, so a stall also counts against the operations it delays. There are
+// as many clients as the host has CPUs, at most 2, and the HTTP transport
+// is capped at one connection per client.
 const maxClients = 2
 
 func numClients() int { return min(maxClients, runtime.NumCPU()) }
@@ -83,8 +84,9 @@ func (d drainCloser) Close() error {
 // sample is one completed operation.
 type sample struct {
 	kind  OpKind
-	dur   time.Duration
-	done  time.Time // completion
+	dur   time.Duration // from due (open loop) or start to completion
+	late  time.Duration // open loop: start after due
+	done  time.Time     // completion
 	err   bool
 	reqID string // reads
 	runID string // publishes
@@ -94,14 +96,13 @@ type sample struct {
 // region.
 type answer struct {
 	op     Op
-	ids    []string            // lineage
-	adj    map[string][]string // expand
-	rows   int                 // PQL
-	digest uint64              // PQL
+	ids    []string // lineage
+	rows   int      // PQL
+	digest uint64   // PQL
 }
 
 // Answers kept per client: every PQL answer (as a digest), and closure
-// and expand answers spread over the whole window: every stride-th read,
+// answers spread over the whole window: every stride-th read,
 // where the stride starts at keepEvery and doubles, dropping every other
 // kept read answer, whenever keepMax of them are held.
 const (
@@ -111,18 +112,18 @@ const (
 
 // client is one load goroutine's state.
 type client struct {
-	stream   *OpStream
-	api      *api.Client
-	ids      *idTransport
-	samples  []sample
-	answers  []answer
-	acked    []*provenance.RunLog
-	errs     []string
-	pubEvery time.Duration // publish schedule (Workload.PublishRate)
-	pubNext  time.Time     // next scheduled publish
-	reads    int           // reads made
-	kept     int           // read answers held
-	stride   int           // every stride-th read is kept
+	stream  *OpStream
+	api     *api.Client
+	ids     *idTransport
+	samples []sample
+	answers []answer
+	acked   []*provenance.RunLog
+	errs    []string
+	reads   int           // reads made
+	kept    int           // read answers held
+	stride  int           // every stride-th read is kept
+	every   time.Duration // open loop: interval between the client's operations
+	due     time.Time     // open loop: when the next operation is due
 }
 
 func newClient(id int, stream *OpStream, base string, tr *transport) *client {
@@ -131,26 +132,27 @@ func newClient(id int, stream *OpStream, base string, tr *transport) *client {
 		stream: stream, ids: ids, stride: keepEvery,
 		api: api.NewClient(base, &http.Client{Transport: ids, Timeout: 60 * time.Second}),
 	}
-	if rate := stream.w.PublishRate; rate > 0 {
-		c.pubEvery = time.Duration(numClients()) * time.Second / time.Duration(rate)
+	if rate := stream.w.Rate; rate > 0 {
+		c.every = time.Duration(numClients()) * time.Second / time.Duration(rate)
 	}
 	return c
 }
 
-// next returns the client's next operation: a publish when one is due on
-// the client's schedule (those that fell behind are made up back to back,
-// so a window publishes a fixed number of runs), else the next of its
-// stream.
-func (c *client) next(now time.Time) Op {
-	if c.pubEvery > 0 && !now.Before(c.pubNext) {
-		c.pubNext = c.pubNext.Add(c.pubEvery)
-		return c.stream.Publish()
+// nextDue returns when the client's next operation is due and advances
+// its schedule: now in a closed loop, the next slot of the schedule in an
+// open loop.
+func (c *client) nextDue(now time.Time) time.Time {
+	if c.every == 0 {
+		return now
 	}
-	return c.stream.Next()
+	due := c.due
+	c.due = c.due.Add(c.every)
+	return due
 }
 
-// do executes one operation and keeps what verification needs.
-func (c *client) do(s *stack, op Op) sample {
+// do executes one operation due at due and keeps what verification
+// needs.
+func (c *client) do(s *stack, op Op, due time.Time) sample {
 	smp := sample{kind: op.Kind}
 	var (
 		err  error
@@ -158,19 +160,10 @@ func (c *client) do(s *stack, op Op) sample {
 		keep bool
 	)
 	start := time.Now()
+	smp.late = start.Sub(due)
 	switch op.Kind {
 	case OpLineage:
-		if op.Dir == store.Up {
-			ans.ids, err = c.api.Lineage(op.IDs[0])
-		} else {
-			ans.ids, err = c.api.Dependents(op.IDs[0])
-		}
-	case OpExpand:
-		dir := "up"
-		if op.Dir == store.Down {
-			dir = "down"
-		}
-		ans.adj, err = c.api.Expand(op.IDs, dir)
+		ans.ids, err = c.api.Lineage(op.IDs[0])
 	case OpQuery:
 		var res *pql.Result
 		res, err = c.api.Query(pqlQueries[op.Query])
@@ -181,7 +174,7 @@ func (c *client) do(s *stack, op Op) sample {
 		err = s.publish(op.Log)
 	}
 	smp.done = time.Now()
-	smp.dur = smp.done.Sub(start)
+	smp.dur = smp.done.Sub(due)
 	switch op.Kind {
 	case OpPublish:
 		smp.runID = op.Log.Run.ID
@@ -273,7 +266,7 @@ type window struct {
 	clients  []*client
 	start    time.Time
 	elapsed  time.Duration
-	heapPeak uint64 // peak live heap, bytes
+	heap     Dist   // live heap (MB), read every 10 ms
 	allocs   uint64 // bytes allocated
 	gcCPU    float64
 	totalCPU float64
@@ -327,7 +320,7 @@ func prefill(s *stack, clients []*client, runs int) []string {
 			defer wg.Done()
 			for len(c.acked) < runs/len(clients) {
 				op := c.stream.Next()
-				if c.do(s, op).err {
+				if c.do(s, op, time.Now()).err {
 					failed[i] = fmt.Sprintf("%s failed before the window", op.Kind)
 					return
 				}
@@ -357,7 +350,7 @@ func runWindow(s *stack, clients []*client, d time.Duration) *window {
 		probe := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 		for {
 			metrics.Read(probe)
-			w.heapPeak = max(w.heapPeak, probe[0].Value.Uint64())
+			w.heap.Add(float64(probe[0].Value.Uint64()) / (1 << 20))
 			select {
 			case <-stop:
 				return
@@ -370,13 +363,19 @@ func runWindow(s *stack, clients []*client, d time.Duration) *window {
 	deadline := start.Add(d)
 	var wg sync.WaitGroup
 	for i, c := range clients {
-		// Stagger the clients' publish schedules evenly.
-		c.pubNext = start.Add(c.pubEvery * time.Duration(i) / time.Duration(len(clients)))
+		// Stagger the clients' schedules evenly.
+		c.due = start.Add(c.every * time.Duration(i) / time.Duration(len(clients)))
 		wg.Add(1)
 		go func(c *client) {
 			defer wg.Done()
-			for now := time.Now(); now.Before(deadline); now = time.Now() {
-				c.samples = append(c.samples, c.do(s, c.next(now)))
+			for {
+				op := c.stream.Next()
+				due := c.nextDue(time.Now())
+				if !due.Before(deadline) {
+					return
+				}
+				time.Sleep(time.Until(due))
+				c.samples = append(c.samples, c.do(s, op, due))
 			}
 		}(c)
 	}

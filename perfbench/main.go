@@ -3,7 +3,7 @@
 // clients through api.Client over loopback, verifies the answers against
 // the reference implementations, and prints one JSON result line.
 //
-//	go run . --workload lineage-hot --seed 1 --seconds 10 --trace 0
+//	go run . --workload publish --seed 1 --seconds 30 --trace 0
 //
 // --trace 0 reports the end-to-end metrics; --trace 1 runs the workload
 // untraced and then traced, and reports the per-layer metrics. Workloads,
@@ -49,16 +49,16 @@ const (
 
 func main() {
 	var (
-		workload = flag.String("workload", "", "workload name (lineage-hot, pql-scan, publish)")
+		workload = flag.String("workload", "", "workload name (pql-scan, publish)")
 		seed     = flag.Int64("seed", 1, "workload seed: the same seed gives the same inputs")
-		seconds  = flag.Int("seconds", 12, "length of each measured window (BENCHMARK.json: 12)")
+		seconds  = flag.Int("seconds", 30, "length of each measured window (BENCHMARK.json: 30)")
 		trace    = flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 		work     = flag.String("work", filepath.Join(".bench_build", "work"), "directory for generated stores (emptied afterwards)")
 	)
 	flag.Parse()
 	w, ok := workloadByName(*workload)
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintf(os.Stderr, "perfbench: need --workload (one of lineage-hot, pql-scan, publish), --seconds ≥ 1 and --trace 0|1\n")
+		fmt.Fprintf(os.Stderr, "perfbench: need --workload (pql-scan or publish), --seconds ≥ 1 and --trace 0|1\n")
 		os.Exit(2)
 	}
 	if err := checkHygiene(); err != nil {
@@ -77,7 +77,7 @@ func main() {
 	}
 }
 
-// checkHygiene asserts the driver's own limits: GOMAXPROCS at its default
+// checkHygiene asserts the load limits: GOMAXPROCS at its default
 // and no more load goroutines than CPUs.
 func checkHygiene() error {
 	if v := os.Getenv("GOMAXPROCS"); v != "" || runtime.GOMAXPROCS(0) != runtime.NumCPU() {
@@ -186,8 +186,8 @@ type closureKey struct {
 }
 
 // warmSet is what a long-running server would hold in its closure cache
-// for this workload: the hot set in both directions for the curation and
-// ingest workloads. PQL bypasses the cache.
+// for this workload: the hot set in both directions for the ingest
+// workload. PQL bypasses the cache.
 func (r *runner) warmSet() []closureKey {
 	var out []closureKey
 	if r.w.Lineage > 0 {
@@ -361,7 +361,7 @@ func (r *runner) pass(tr *tracer, repeats int) (*passResult, error) {
 	clients := make([]*client, n)
 	a := Archive{Seed: r.seed, Runs: r.w.Runs}
 	for i := range clients {
-		clients[i] = newClient(i, NewOpStream(r.w, a, i, n, r.hot), s.base, tp)
+		clients[i] = newClient(i, NewOpStream(r.w, a, i, n), s.base, tp)
 	}
 	p.bad = append(p.bad, prefill(s, clients, r.w.Prefill)...)
 	if tr != nil {
@@ -392,6 +392,9 @@ func (r *runner) pass(tr *tracer, repeats int) (*passResult, error) {
 	}
 	if all := latencies(p.win); !all.Supports(tailQuantile) {
 		p.bad = append(p.bad, fmt.Sprintf("only %d operations in the window: too few for a p%.0f", all.Len(), tailQuantile*100))
+	}
+	if !p.win.heap.Supports(heapQuantile) {
+		p.bad = append(p.bad, fmt.Sprintf("only %d heap samples in the window: too few for a p%.0f", p.win.heap.Len(), heapQuantile*100))
 	}
 
 	// Checks, outside the timed region.

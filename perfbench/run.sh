@@ -2,7 +2,7 @@
 # Builds the benchmark from source and runs it. Run it from the repository
 # root; every argument is passed to the benchmark:
 #
-#   bash perfbench/run.sh --workload lineage-hot --seed 1 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload publish --seed 1 --seconds 30 --trace 0
 #
 # The build cache, the binary and the generated stores all live under
 # .bench_build/ in the repository root.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,8 +20,7 @@ import (
 // plus a wrapper around collab's http.Handler and, for PQL, a forwarding
 // sharded view whose shard handles time Runs/RunLog. A boundary call is
 // attributed to the request being served by matching its arguments: a
-// closure by (root, direction), an expand by direction and id set (the
-// cache forwards only its misses, a subset), a publish by run ID. Two
+// closure by (root, direction), a publish by run ID. Two
 // in-flight requests with identical arguments do identical work, so which
 // of them a call is charged to does not bias the figures.
 
@@ -41,11 +39,10 @@ type span struct {
 	kind   OpKind
 	reqID  string
 	dir    store.Direction
-	root   string          // closure root
-	ids    map[string]bool // expand ids
-	runID  string          // publish
-	server time.Duration   // handler time (reads) or PublishRun time
-	bytes  int             // response bytes
+	root   string        // closure root
+	runID  string        // publish
+	server time.Duration // handler time (reads) or PublishRun time
+	bytes  int           // response bytes
 	below  [numBoundaries]time.Duration
 	seen   [numBoundaries]bool
 	scan   *scanGroup
@@ -88,7 +85,7 @@ type tracer struct {
 	// Latencies (ms) of every call into the router, whether or not a
 	// request claimed it: standing maintenance and auto-checkpoints call
 	// through that boundary too.
-	routerClosure, routerExpand, routerIngest, routerCheckpoint Dist
+	routerClosure, routerIngest, routerCheckpoint Dist
 }
 
 func newTracer(nShards int) *tracer { return &tracer{nShards: nShards} }
@@ -130,20 +127,6 @@ func (t *tracer) claim(b boundary, d time.Duration, router *Dist, match func(*sp
 
 func (t *tracer) onClosure(b boundary, seed string, dir store.Direction, d time.Duration) {
 	t.claim(b, d, &t.routerClosure, func(sp *span) bool { return sp.kind == OpLineage && sp.root == seed && sp.dir == dir })
-}
-
-func (t *tracer) onExpand(b boundary, ids []string, dir store.Direction, d time.Duration) {
-	t.claim(b, d, &t.routerExpand, func(sp *span) bool {
-		if sp.kind != OpExpand || sp.dir != dir {
-			return false
-		}
-		for _, id := range ids {
-			if !sp.ids[id] {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 func (t *tracer) onIngest(b boundary, runID string, d time.Duration) {
@@ -200,7 +183,7 @@ func (t *tracer) reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done, t.open, t.scans = nil, nil, nil
-	t.routerClosure, t.routerExpand, t.routerIngest, t.routerCheckpoint = Dist{}, Dist{}, Dist{}, Dist{}
+	t.routerClosure, t.routerIngest, t.routerCheckpoint = Dist{}, Dist{}, Dist{}
 }
 
 // --- HTTP boundary ------------------------------------------------------------
@@ -210,22 +193,9 @@ func (t *tracer) reset() {
 func (t *tracer) handler(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sp := &span{kind: -1, reqID: r.Header.Get(api.HeaderRequestID)}
-		q := r.URL.Query()
 		switch r.URL.Path {
-		case api.V1Prefix + "/lineage", api.V1Prefix + "/dependents":
-			sp.kind, sp.root, sp.dir = OpLineage, q.Get("id"), store.Up
-			if strings.HasSuffix(r.URL.Path, "/dependents") {
-				sp.dir = store.Down
-			}
-		case api.V1Prefix + "/expand":
-			sp.kind, sp.dir = OpExpand, store.Up
-			if q.Get("dir") == "down" {
-				sp.dir = store.Down
-			}
-			sp.ids = map[string]bool{}
-			for _, id := range strings.Split(q.Get("ids"), ",") {
-				sp.ids[id] = true
-			}
+		case api.V1Prefix + "/lineage":
+			sp.kind, sp.root, sp.dir = OpLineage, r.URL.Query().Get("id"), store.Up
 		case api.V1Prefix + "/query":
 			sp.kind = OpQuery
 		}
@@ -279,10 +249,7 @@ func (t *timedStore) Closure(seed string, dir store.Direction) ([]string, error)
 }
 
 func (t *timedStore) Expand(ids []string, dir store.Direction) (map[string][]string, error) {
-	start := time.Now()
-	out, err := t.s.Expand(ids, dir)
-	t.tr.onExpand(t.b, ids, dir, time.Since(start))
-	return out, err
+	return t.s.Expand(ids, dir)
 }
 
 func (t *timedStore) RunLog(id string) (*provenance.RunLog, error) { return t.s.RunLog(id) }
